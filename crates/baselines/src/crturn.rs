@@ -9,13 +9,19 @@
 //!
 //! The reproduction keeps CRTurn's structure: per-thread *enqueue request*
 //! slots served round-robin starting from the thread that owns the current
-//! tail node, and per-thread *dequeue request* slots satisfied by assigning
-//! the node after the current head to the next pending dequeuer (the "turn"),
+//! tail node, and per-thread *dequeue requests* satisfied by assigning the
+//! node after the current head to the next pending dequeuer (the "turn"),
 //! with hazard pointers protecting traversal and each thread retiring the node
-//! it was previously assigned.  The give-up path for empty queues is slightly
-//! simplified relative to the original (a single CAS closes the request); the
-//! round-robin turn selection and the retire-previous-request reclamation are
-//! as published.
+//! it was assigned two requests earlier.
+//!
+//! A dequeue request is named by a node, as published: `deqself[i]` and
+//! `deqhelp[i]` both hold the node thread `i` was last given, the request is
+//! open while the two are equal, and serving it swings `deqhelp[i]` to the new
+//! node.  No two requests of a thread share a name while a helper can still
+//! hold it (the name node is retired only after it stops being one, and
+//! helpers hazard-protect it), so a late helper can never hand an already
+//! delivered node to the thread's next request — a single shared "pending"
+//! marker would let it, and the node would be returned and retired twice.
 //!
 //! Values are `u64` (the benchmark payload); the queue is unbounded.
 
@@ -25,11 +31,11 @@ use wcq_reclaim::{HazardDomain, HazardHandle};
 
 const NOIDX: usize = usize::MAX;
 
-/// Sentinel pointer marking an open (pending) dequeue request.
-fn pending_sentinel() -> *mut Node {
-    // Any non-null, never-allocated, aligned address works as a marker.
-    std::ptr::NonNull::<Node>::dangling().as_ptr()
-}
+/// Hazard slots: the head (or, while enqueueing, the tail), the node after
+/// the head, and the request name a helper is about to replace.
+const HP_HEAD: usize = 0;
+const HP_NEXT: usize = 1;
+const HP_DEQ: usize = 2;
 
 struct Node {
     item: u64,
@@ -49,20 +55,42 @@ impl Node {
     }
 }
 
+fn null_slots(n: usize) -> Box<[AtomicPtr<Node>]> {
+    (0..n)
+        .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+        .collect::<Vec<_>>()
+        .into_boxed_slice()
+}
+
+/// One fresh, never-linked node per thread: the request names a thread uses
+/// before it has been given real nodes.
+fn dummy_slots(n: usize) -> Box<[AtomicPtr<Node>]> {
+    (0..n)
+        .map(|tid| AtomicPtr::new(Node::new(0, tid)))
+        .collect::<Vec<_>>()
+        .into_boxed_slice()
+}
+
 /// The turn-based wait-free queue.
 pub struct CrTurnQueue {
     head: AtomicPtr<Node>,
     tail: AtomicPtr<Node>,
     /// Pending enqueue requests: the node thread `i` wants linked.
     enqueuers: Box<[AtomicPtr<Node>]>,
-    /// Pending dequeue requests: null = none, sentinel = open, node = served.
-    deqreq: Box<[AtomicPtr<Node>]>,
+    /// The name of thread `i`'s current (or last) dequeue request.
+    deqself: Box<[AtomicPtr<Node>]>,
+    /// The node last given to thread `i`; equal to `deqself[i]` while its
+    /// request is open.
+    deqhelp: Box<[AtomicPtr<Node>]>,
     domain: HazardDomain,
     taken: Box<[AtomicUsize]>,
     /// The very first sentinel, freed on drop (it is never retired).
     initial: *mut Node,
 }
 
+// SAFETY: every field is an atomic, the hazard domain (itself `Send + Sync`)
+// or the immutable `initial` pointer; nodes hold plain `u64`s and are reached
+// only through hazard-protected loads or, on drop, exclusive access.
 unsafe impl Send for CrTurnQueue {}
 unsafe impl Sync for CrTurnQueue {}
 
@@ -75,15 +103,10 @@ impl CrTurnQueue {
         Self {
             head: AtomicPtr::new(sentinel),
             tail: AtomicPtr::new(sentinel),
-            enqueuers: (0..max_threads)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            deqreq: (0..max_threads)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            domain: HazardDomain::new(max_threads, 2),
+            enqueuers: null_slots(max_threads),
+            deqself: dummy_slots(max_threads),
+            deqhelp: dummy_slots(max_threads),
+            domain: HazardDomain::new(max_threads, 3),
             taken: (0..max_threads)
                 .map(|_| AtomicUsize::new(0))
                 .collect::<Vec<_>>()
@@ -105,7 +128,6 @@ impl CrTurnQueue {
                     queue: self,
                     hp: self.domain.register()?,
                     tid,
-                    prev_assigned: std::ptr::null_mut(),
                 });
             }
         }
@@ -142,6 +164,21 @@ impl Drop for CrTurnQueue {
             // pointers and is unreachable from `head` once head moved on.
             drop(unsafe { Box::from_raw(self.initial) });
         }
+        // Each thread's two request names are not retired yet: dummies or
+        // nodes the head has reached.  Only the latest (`deqhelp`) can be the
+        // head itself, which the walk above already freed, and the two are
+        // equal only if a dequeue was abandoned with its request open.
+        for (name, given) in self.deqself.iter().zip(self.deqhelp.iter()) {
+            let (name, given) = (name.load(SeqCst), given.load(SeqCst));
+            if given != head {
+                // SAFETY: exclusive access during drop; see above.
+                drop(unsafe { Box::from_raw(given) });
+            }
+            if name != given && name != head {
+                // SAFETY: as above.
+                drop(unsafe { Box::from_raw(name) });
+            }
+        }
     }
 }
 
@@ -150,9 +187,6 @@ pub struct CrTurnHandle<'q> {
     queue: &'q CrTurnQueue,
     hp: HazardHandle<'q>,
     tid: usize,
-    /// The node most recently assigned to this thread; retired on the next
-    /// successful dequeue (CRTurn's reclamation rule).
-    prev_assigned: *mut Node,
 }
 
 impl<'q> CrTurnHandle<'q> {
@@ -170,7 +204,7 @@ impl<'q> CrTurnHandle<'q> {
             if self.queue.enqueuers[self.tid].load(SeqCst).is_null() {
                 break;
             }
-            let ltail = self.hp.protect(0, &self.queue.tail);
+            let ltail = self.hp.protect(HP_HEAD, &self.queue.tail);
             if ltail != self.queue.tail.load(SeqCst) {
                 continue;
             }
@@ -214,105 +248,124 @@ impl<'q> CrTurnHandle<'q> {
 
     /// Dequeues a value; `None` when the queue is empty.
     pub fn dequeue(&mut self) -> Option<u64> {
-        let n = self.queue.deqreq.len();
-        let pending = pending_sentinel();
-        self.queue.deqreq[self.tid].store(pending, SeqCst);
+        let q = self.queue;
+        let tid = self.tid;
+        let pr_req = q.deqself[tid].load(SeqCst);
+        let my_req = q.deqhelp[tid].load(SeqCst);
+        q.deqself[tid].store(my_req, SeqCst); // Open the request.
         loop {
-            if self.queue.deqreq[self.tid].load(SeqCst) != pending {
+            if q.deqhelp[tid].load(SeqCst) != my_req {
                 break; // Our request was served.
             }
-            let lhead = self.hp.protect(0, &self.queue.head);
-            if lhead != self.queue.head.load(SeqCst) {
-                continue;
-            }
-            // SAFETY: lhead is hazard-protected and validated.
-            let lhead_ref = unsafe { &*lhead };
-            let lnext = self.hp.protect(1, &lhead_ref.next);
-            if lhead != self.queue.head.load(SeqCst) {
+            let lhead = self.hp.protect(HP_HEAD, &q.head);
+            // SAFETY: lhead is hazard-protected.
+            let lnext = self.hp.protect(HP_NEXT, unsafe { &(*lhead).next });
+            if lhead != q.head.load(SeqCst) {
                 continue;
             }
             if lnext.is_null() {
-                // Empty: close our request unless someone served it meanwhile.
-                if self.queue.deqreq[self.tid]
-                    .compare_exchange(pending, std::ptr::null_mut(), SeqCst, SeqCst)
-                    .is_ok()
-                {
-                    self.hp.clear();
-                    return None;
+                // Empty: close the request, then settle any node a helper
+                // assigned to it before it closed.
+                q.deqself[tid].store(pr_req, SeqCst);
+                self.give_up(my_req);
+                if q.deqhelp[tid].load(SeqCst) != my_req {
+                    q.deqself[tid].store(my_req, SeqCst);
+                    break; // Served after all; collect it.
                 }
-                break; // Served concurrently; fall through to collect it.
+                self.hp.clear();
+                return None;
             }
-            // SAFETY: lnext was protected before the head re-validation; while
-            // head == lhead, lnext cannot have been retired.
-            let lnext_ref = unsafe { &*lnext };
-            let mut assigned = lnext_ref.deq_tid.load(SeqCst);
-            if assigned == NOIDX {
-                // The turn: start scanning from the thread after the one the
-                // current sentinel was assigned to.
-                let start = match lhead_ref.deq_tid.load(SeqCst) {
-                    NOIDX => 0,
-                    v => (v + 1) % n,
-                };
-                for j in 0..n {
-                    let cand = (start + j) % n;
-                    if self.queue.deqreq[cand].load(SeqCst) == pending {
-                        let _ = lnext_ref
-                            .deq_tid
-                            .compare_exchange(NOIDX, cand, SeqCst, SeqCst);
-                        break;
-                    }
-                }
-                assigned = lnext_ref.deq_tid.load(SeqCst);
-            }
-            if assigned != NOIDX {
-                // Serve the assigned dequeuer, then advance the head.
-                let _ =
-                    self.queue.deqreq[assigned].compare_exchange(pending, lnext, SeqCst, SeqCst);
-                let _ = self
-                    .queue
-                    .head
-                    .compare_exchange(lhead, lnext, SeqCst, SeqCst);
+            if self.search_next(lhead, lnext) != NOIDX {
+                self.cas_deq_and_head(lhead, lnext);
             }
         }
-        // Collect the node assigned to us.
-        let node = self.queue.deqreq[self.tid].swap(std::ptr::null_mut(), SeqCst);
-        debug_assert!(!node.is_null() && node != pending);
+        let node = q.deqhelp[tid].load(SeqCst);
         // Make sure the head has advanced past our node before we retire the
-        // previously assigned one (CRTurn's final step).
-        let lhead = self.hp.protect(0, &self.queue.head);
-        if lhead == self.queue.head.load(SeqCst) {
-            // SAFETY: lhead protected and validated.
-            if unsafe { (*lhead).next.load(SeqCst) } == node {
-                let _ = self
-                    .queue
-                    .head
-                    .compare_exchange(lhead, node, SeqCst, SeqCst);
-            }
+        // node we were given the time before (CRTurn's final step).
+        let lhead = self.hp.protect(HP_HEAD, &q.head);
+        // SAFETY: lhead is hazard-protected and validated.
+        if lhead == q.head.load(SeqCst) && unsafe { (*lhead).next.load(SeqCst) } == node {
+            let _ = q.head.compare_exchange(lhead, node, SeqCst, SeqCst);
         }
-        // SAFETY: `node` is assigned exclusively to us; it stays valid until
-        // *we* retire it (on our next dequeue or when the handle drops).
+        // SAFETY: `node` names our next request, so nobody retires it before
+        // that request completes, and only we do.
         let value = unsafe { (*node).item };
         self.hp.clear();
-        let prev = std::mem::replace(&mut self.prev_assigned, node);
-        if !prev.is_null() {
-            // SAFETY: `prev` was assigned to us, the head has since moved past
-            // it, and only we retire it.
-            unsafe { self.hp.retire(prev) };
-        }
+        // SAFETY: `pr_req` is no longer any request's name, the head has moved
+        // past it, and only we retire it.
+        unsafe { self.hp.retire(pr_req) };
         Some(value)
+    }
+
+    /// Assigns `lnext` (the node after `lhead`) to the next open request in
+    /// turn order after `lhead`'s owner, unless it is already assigned, and
+    /// returns its owner (`NOIDX` when no request is open).
+    fn search_next(&self, lhead: *mut Node, lnext: *mut Node) -> usize {
+        let q = self.queue;
+        let n = q.deqself.len();
+        // SAFETY: both nodes are hazard-protected by the caller.
+        let (lhead, lnext) = unsafe { (&*lhead, &*lnext) };
+        let start = match lhead.deq_tid.load(SeqCst) {
+            NOIDX => 0,
+            v => (v + 1) % n,
+        };
+        for j in 0..n {
+            let cand = (start + j) % n;
+            if q.deqself[cand].load(SeqCst) != q.deqhelp[cand].load(SeqCst) {
+                continue;
+            }
+            let _ = lnext.deq_tid.compare_exchange(NOIDX, cand, SeqCst, SeqCst);
+            break;
+        }
+        lnext.deq_tid.load(SeqCst)
+    }
+
+    /// Gives the assigned `lnext` to its owner's request, then advances the
+    /// head to it.
+    fn cas_deq_and_head(&self, lhead: *mut Node, lnext: *mut Node) {
+        let q = self.queue;
+        // SAFETY: lnext is hazard-protected by the caller.
+        let owner = unsafe { (*lnext).deq_tid.load(SeqCst) };
+        if owner == self.tid {
+            q.deqhelp[owner].store(lnext, SeqCst);
+        } else {
+            let ldeqhelp = self.hp.protect(HP_DEQ, &q.deqhelp[owner]);
+            if ldeqhelp != lnext && lhead == q.head.load(SeqCst) {
+                let _ = q.deqhelp[owner].compare_exchange(ldeqhelp, lnext, SeqCst, SeqCst);
+            }
+        }
+        let _ = q.head.compare_exchange(lhead, lnext, SeqCst, SeqCst);
+    }
+
+    /// After closing request `my_req` on an empty-looking queue: if the head
+    /// has a successor after all, make sure it is assigned (to us when no
+    /// request is open) and delivered, so a helper that saw our request open
+    /// cannot leave a node assigned to it undelivered.
+    fn give_up(&self, my_req: *mut Node) {
+        let q = self.queue;
+        if q.deqhelp[self.tid].load(SeqCst) != my_req {
+            return;
+        }
+        let lhead = self.hp.protect(HP_HEAD, &q.head);
+        // SAFETY: lhead is hazard-protected.
+        let lnext = self.hp.protect(HP_NEXT, unsafe { &(*lhead).next });
+        if lhead != q.head.load(SeqCst) || lnext.is_null() {
+            return;
+        }
+        if self.search_next(lhead, lnext) == NOIDX {
+            // SAFETY: lnext is hazard-protected.
+            let _ = unsafe { &*lnext }
+                .deq_tid
+                .compare_exchange(NOIDX, self.tid, SeqCst, SeqCst);
+        }
+        self.cas_deq_and_head(lhead, lnext);
     }
 }
 
 impl<'q> Drop for CrTurnHandle<'q> {
     fn drop(&mut self) {
-        // The last node assigned to this thread may still be the queue's
-        // sentinel (head); in that case ownership stays with the queue, which
-        // frees it on drop.  Retiring it here as well would double-free.
-        if !self.prev_assigned.is_null() && self.prev_assigned != self.queue.head.load(SeqCst) {
-            // SAFETY: same argument as in `dequeue`; the node is strictly
-            // behind the head, hence unreachable.
-            unsafe { self.hp.retire(self.prev_assigned) };
-        }
+        // The thread's request names stay in `deqself`/`deqhelp` for the
+        // next handle that takes this slot (or for the queue's drop).
         self.queue.taken[self.tid].store(0, SeqCst);
     }
 }
@@ -387,6 +440,41 @@ mod tests {
         let n = THREADS * PER_THREAD;
         assert_eq!(count.load(Ordering::Relaxed), n);
         assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn pairs_deliver_every_value_exactly_once() {
+        // Two threads alternating enqueue and dequeue (the Fig. 11b pattern)
+        // keep a helper's late delivery racing the owner's next request.  A
+        // node delivered to two requests of one thread is returned twice and
+        // retired twice, which the allocator reports as a double free.
+        const THREADS: u64 = 2;
+        const PAIRS: u64 = if cfg!(miri) { 200 } else { 50_000 };
+        let q = CrTurnQueue::new(THREADS as usize);
+        let seen: Vec<AtomicU64> = (0..THREADS * PAIRS).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (q, seen) = (&q, &seen);
+                s.spawn(move || {
+                    let mut h = q.register().unwrap();
+                    let take = |v: u64| {
+                        seen[v as usize].fetch_add(1, Ordering::Relaxed);
+                    };
+                    for i in 0..PAIRS {
+                        h.enqueue(t * PAIRS + i);
+                        if let Some(v) = h.dequeue() {
+                            take(v);
+                        }
+                    }
+                    while let Some(v) = h.dequeue() {
+                        take(v);
+                    }
+                });
+            }
+        });
+        for (v, count) in seen.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "value {v}");
+        }
     }
 
     #[test]

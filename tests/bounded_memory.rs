@@ -7,17 +7,24 @@
 //! that heap usage stays flat across 100k operations.
 //!
 //! This is its own integration-test binary because `#[global_allocator]`
-//! applies process-wide.
+//! applies process-wide.  It runs under the default parallel test threads, so
+//! every measurement window reads the allocator's *per-thread* counters
+//! (`memtrack::thread_snapshot`): a window that spans worker threads sums each
+//! worker's delta with the test thread's own, and allocations made by the
+//! tests running beside it (or by their panics' backtrace symbolization) never
+//! land in it.  `per_thread_windows_ignore_other_threads_allocations` checks
+//! that isolation.
 
 // The deprecated ad-hoc stats accessors stay covered until they are removed
 // (their replacement is the `CountingInstrument` metrics snapshot).
 #![allow(deprecated)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use wcq::ShardPolicy;
 use wcq_core::wcq::{WcqConfig, WcqQueue};
-use wcq_harness::memtrack::{self, CountingAllocator};
+use wcq_harness::memtrack::{self, CountingAllocator, ThreadMemSnapshot};
 use wcq_unbounded::UnboundedWcq;
 
 #[global_allocator]
@@ -44,35 +51,46 @@ fn wcq_slow_path_does_not_allocate_across_100k_ops() {
         .build_bounded();
     let footprint_before = q.memory_footprint();
 
-    let before = memtrack::snapshot();
+    let before = memtrack::thread_snapshot();
     let consumed = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let q = &q;
-            let consumed = &consumed;
-            s.spawn(move || {
-                let mut h = q.register().unwrap();
-                for i in 0..PER_THREAD {
-                    let mut v = t * PER_THREAD + i;
-                    while let Err(back) = h.enqueue(v) {
-                        v = back;
-                        // Make room when the ring is full; this dequeue
-                        // consumes a real element and must be counted too.
+    let workers = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let q = &q;
+                let consumed = &consumed;
+                s.spawn(move || {
+                    let start = memtrack::thread_snapshot();
+                    let mut h = q.register().unwrap();
+                    for i in 0..PER_THREAD {
+                        let mut v = t * PER_THREAD + i;
+                        while let Err(back) = h.enqueue(v) {
+                            v = back;
+                            // Make room when the ring is full; this dequeue
+                            // consumes a real element and must be counted too.
+                            if h.dequeue().is_some() {
+                                consumed.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
                         if h.dequeue().is_some() {
                             consumed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    if h.dequeue().is_some() {
+                    while h.dequeue().is_some() {
                         consumed.fetch_add(1, Ordering::Relaxed);
                     }
-                }
-                while h.dequeue().is_some() {
-                    consumed.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
+                    drop(h);
+                    memtrack::thread_snapshot().since(start)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold(ThreadMemSnapshot::default(), |sum, d| sum + d)
     });
-    let after = memtrack::snapshot();
+    // The window: the test thread's own traffic (spawning and joining) plus
+    // every worker's.
+    let window = memtrack::thread_snapshot().since(before) + workers;
 
     assert_eq!(consumed.load(Ordering::Relaxed), THREADS * PER_THREAD);
     // The queue itself is statically allocated: its self-reported footprint
@@ -80,15 +98,15 @@ fn wcq_slow_path_does_not_allocate_across_100k_ops() {
     assert_eq!(q.memory_footprint(), footprint_before);
     // Live heap must stay flat up to a small slack for std runtime
     // bookkeeping (thread-exit TLS, panic buffers — observed ~150 bytes)...
-    let live_growth = after.live_bytes.saturating_sub(before.live_bytes);
+    let live_growth = window.net_bytes;
     assert!(
         live_growth < 16 * 1024,
-        "live heap grew {live_growth} bytes across the run: {before:?} -> {after:?}"
+        "live heap grew {live_growth} bytes across the run: {window:?}"
     );
     // ...and the total number of allocations during 100k slow-path ops must
     // be tiny (thread spawning and test bookkeeping only).  A per-operation
     // allocation would show up as >= 100_000 here.
-    let allocs = after.total_allocs - before.total_allocs;
+    let allocs = window.allocs;
     assert!(
         allocs < 1_000,
         "expected no per-operation allocations, saw {allocs} across 100k ops"
@@ -142,7 +160,7 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
     h.flush_reclamation();
 
     let allocated_before = q.segments_allocated();
-    let before = memtrack::snapshot();
+    let before = memtrack::thread_snapshot();
     const ROUNDS: u64 = 50;
     for round in 0..ROUNDS {
         for i in 0..BURST {
@@ -153,7 +171,7 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
         }
         h.flush_reclamation();
     }
-    let after = memtrack::snapshot();
+    let window = memtrack::thread_snapshot().since(before);
 
     assert_eq!(
         q.segments_allocated(),
@@ -164,12 +182,12 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
     // 50 rounds * 128 ops with per-op allocation would show up as >= 6400
     // allocations; the only heap traffic allowed is the hazard scan's small
     // bookkeeping on each explicit flush.
-    let allocs = after.total_allocs - before.total_allocs;
+    let allocs = window.allocs;
     assert!(
         allocs < 1_500,
         "expected no per-operation allocations at steady state, saw {allocs}"
     );
-    let live_growth = after.live_bytes.saturating_sub(before.live_bytes);
+    let live_growth = window.net_bytes;
     assert!(
         live_growth < 16 * 1024,
         "live heap grew {live_growth} bytes across steady-state rounds"
@@ -202,7 +220,7 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
 
     let allocated_before: Vec<usize> = q.shards().iter().map(|s| s.segments_allocated()).collect();
     let misses_before: Vec<usize> = q.shards().iter().map(|s| s.cache_stats().misses).collect();
-    let before = memtrack::snapshot();
+    let before = memtrack::thread_snapshot();
     const ROUNDS: u64 = 40;
     for round in 0..ROUNDS {
         for i in 0..BURST {
@@ -211,7 +229,7 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
         while h.dequeue().is_some() {}
         h.flush_reclamation();
     }
-    let after = memtrack::snapshot();
+    let window = memtrack::thread_snapshot().since(before);
 
     for (i, shard) in q.shards().iter().enumerate() {
         assert_eq!(
@@ -232,14 +250,63 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
     }
     // 40 rounds * 512 ops with per-op allocation would show up as >= 20k
     // allocations; only the hazard scans' small bookkeeping is allowed.
-    let allocs = after.total_allocs - before.total_allocs;
+    let allocs = window.allocs;
     assert!(
         allocs < 2_000,
         "expected no per-operation allocations at steady state, saw {allocs}"
     );
-    let live_growth = after.live_bytes.saturating_sub(before.live_bytes);
+    let live_growth = window.net_bytes;
     assert!(
         live_growth < 16 * 1024,
         "live heap grew {live_growth} bytes across steady-state rounds"
     );
+}
+
+#[test]
+fn per_thread_windows_ignore_other_threads_allocations() {
+    // The accounting the windows above rely on: while this thread's window is
+    // open, a helper thread makes and holds HELD allocations.  The process-wide
+    // counter sees every one of them; this thread's window sees none.
+    const HELD: usize = 1_000;
+    let started = Barrier::new(2);
+    let holding = Barrier::new(2);
+    let window_closed = Barrier::new(2);
+    std::thread::scope(|s| {
+        let helper = s.spawn(|| {
+            started.wait();
+            let start = memtrack::thread_snapshot();
+            let held: Vec<Box<u64>> = (0..HELD as u64).map(Box::new).collect();
+            let made = memtrack::thread_snapshot().since(start);
+            holding.wait();
+            window_closed.wait();
+            drop(held);
+            made
+        });
+
+        let before = memtrack::thread_snapshot();
+        let global_before = memtrack::snapshot();
+        started.wait();
+        holding.wait();
+        let window = memtrack::thread_snapshot().since(before);
+        let global_after = memtrack::snapshot();
+        window_closed.wait();
+        let made = helper.join().unwrap();
+
+        assert_eq!(
+            window,
+            ThreadMemSnapshot::default(),
+            "this thread allocated nothing, yet its window saw {window:?}"
+        );
+        let global_allocs = global_after.total_allocs - global_before.total_allocs;
+        assert!(
+            global_allocs >= HELD,
+            "the process-wide counter must see the helper's {HELD} allocations, saw {global_allocs}"
+        );
+        // The helper's own window did count them, so the per-thread counters
+        // are live, not merely zero.
+        assert!(
+            made.allocs >= HELD && made.net_bytes >= (HELD * std::mem::size_of::<u64>()) as isize,
+            "the helper's window must count its own allocations: {made:?}"
+        );
+    });
 }
